@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <thread>
 
 namespace vstream::bench {
 
@@ -41,7 +42,10 @@ void emit_json(const std::filesystem::path& path, const std::string& suite,
   if (!out) {
     throw std::runtime_error("emit_json: cannot open " + path.string());
   }
-  out << "{\n  \"suite\": \"" << escaped(suite) << "\",\n  \"metrics\": {";
+  out << "{\n  \"suite\": \"" << escaped(suite) << "\",\n  \"nproc\": "
+      << std::thread::hardware_concurrency() << ",\n  \"compiler\": \""
+      << escaped(VSTREAM_COMPILER) << "\",\n  \"build_type\": \""
+      << escaped(VSTREAM_BUILD_TYPE) << "\",\n  \"metrics\": {";
   bool first = true;
   for (const JsonMetric& m : metrics) {
     const double value = std::isfinite(m.value) ? m.value : 0.0;

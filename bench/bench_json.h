@@ -1,7 +1,9 @@
 // Minimal machine-readable bench output: a flat named-metric JSON file
 // (BENCH_<suite>.json) that the tier-1 perf smoke validates and CI-style
-// tooling can diff across commits.  No external JSON dependency — the
-// emitter writes the tiny fixed shape itself.
+// tooling can diff across commits.  Each file also names the host and build
+// it was measured on (core count, compiler, CMake build type), so two
+// committed reports are only compared like for like.  No external JSON
+// dependency — the emitter writes the tiny fixed shape itself.
 #pragma once
 
 #include <filesystem>
@@ -16,8 +18,9 @@ struct JsonMetric {
   std::string unit;   ///< e.g. "ops/s", "sessions/s"
 };
 
-/// Write `{"suite": <suite>, "metrics": {name: {"value": v, "unit": u}}}`
-/// to `path`.  Throws std::runtime_error if the file cannot be written.
+/// Write `{"suite": <suite>, "nproc": n, "compiler": c, "build_type": b,
+/// "metrics": {name: {"value": v, "unit": u}}}` to `path`.  Throws
+/// std::runtime_error if the file cannot be written.
 void emit_json(const std::filesystem::path& path, const std::string& suite,
                const std::vector<JsonMetric>& metrics);
 

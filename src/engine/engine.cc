@@ -14,33 +14,26 @@
 
 namespace vstream::engine {
 
-std::size_t positive_env(const char* name, std::size_t fallback) {
-  return sim::positive_env(name, fallback);
-}
-
-double positive_env_double(const char* name, double fallback) {
-  return sim::positive_env_double(name, fallback);
-}
-
 cdn::OverloadConfig resolve_overload_env(cdn::OverloadConfig base) {
-  base.breaker_latency_threshold_ms = positive_env_double(
+  base.breaker_latency_threshold_ms = sim::positive_env_double(
       "VSTREAM_BREAKER_THRESHOLD", base.breaker_latency_threshold_ms);
   // Percent in the environment (10 = 10% of requests may be retries),
   // ratio internally.
   base.retry_budget_ratio =
-      positive_env_double("VSTREAM_RETRY_BUDGET",
-                          base.retry_budget_ratio * 100.0) /
+      sim::positive_env_double("VSTREAM_RETRY_BUDGET",
+                               base.retry_budget_ratio * 100.0) /
       100.0;
   // Percent of nominal capacity (125 = shed past 1.25x).
-  base.shed_watermark = positive_env_double("VSTREAM_SHED_WATERMARK",
-                                            base.shed_watermark * 100.0) /
-                        100.0;
+  base.shed_watermark =
+      sim::positive_env_double("VSTREAM_SHED_WATERMARK",
+                               base.shed_watermark * 100.0) /
+      100.0;
   return base;
 }
 
 std::size_t resolve_shard_count(std::size_t requested) {
   if (requested != 0) return requested;
-  return positive_env("VSTREAM_SHARDS", runtime::kDefaultLogicalShards);
+  return sim::positive_env("VSTREAM_SHARDS", runtime::kDefaultLogicalShards);
 }
 
 RunResult run_simulation(const workload::Scenario& scenario,
@@ -108,7 +101,7 @@ RunResult run_simulation(const workload::Scenario& scenario,
     checkpoint.interval =
         options.checkpoint_interval != 0
             ? options.checkpoint_interval
-            : positive_env("VSTREAM_CHECKPOINT_INTERVAL", 1000);
+            : sim::positive_env("VSTREAM_CHECKPOINT_INTERVAL", 1000);
     checkpoint.fingerprint =
         run_fingerprint(admitted, result.shard_count,
                         options.faults.empty() ? nullptr : &options.faults);

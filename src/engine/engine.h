@@ -137,16 +137,6 @@ struct AnalyzedRun {
 /// hardware.
 std::size_t resolve_shard_count(std::size_t requested = 0);
 
-/// Strictly parse environment variable `name` as a positive integer.
-/// Forwarder for sim::positive_env (src/sim/env_util.h), kept for source
-/// compatibility: unset returns `fallback`; set but invalid throws
-/// std::runtime_error naming the variable — never a silent fallback.
-std::size_t positive_env(const char* name, std::size_t fallback);
-
-/// Same contract for a strictly positive real number (the overload knobs).
-/// Forwarder for sim::positive_env_double.
-double positive_env_double(const char* name, double fallback);
-
 /// Apply the overload-protection environment knobs on top of `base`:
 ///   VSTREAM_BREAKER_THRESHOLD  breaker latency threshold, milliseconds
 ///   VSTREAM_RETRY_BUDGET       retry budget earn rate, percent of requests

@@ -5,7 +5,7 @@
 // variability (residential vs enterprise paths), random and bursty packet
 // loss, and throughput limits with self-loading queueing delay.  PathModel
 // captures exactly those properties and hands the TCP model per-round RTT
-// samples and per-segment loss draws.
+// samples and per-round loss counts (one Bernoulli draw per segment).
 //
 // Loss comes from two processes:
 //   * random per-segment loss (rare on good paths; heterogeneous across
@@ -63,7 +63,10 @@ PathConfig make_path_config(AccessType type, double distance_km,
 /// plus the sampling logic.
 class PathModel {
  public:
-  explicit PathModel(PathConfig config) : config_(config) {}
+  explicit PathModel(PathConfig config)
+      : config_(config),
+        random_loss_(config.random_loss),
+        tail_drop_(config.tail_drop_prob) {}
 
   const PathConfig& config() const { return config_; }
 
@@ -73,16 +76,17 @@ class PathModel {
   sim::Ms sample_rtt(std::uint32_t window_segments, std::uint32_t segment_bytes,
                      sim::Rng& rng);
 
-  /// True if this segment is lost to the random-loss process.  Defined
-  /// inline: the TCP model draws this once per in-flight segment (~70 per
-  /// round), and a cross-TU call per draw showed up in profiles.
-  bool segment_lost(sim::Rng& rng) const {
-    return rng.bernoulli(config_.random_loss);
+  /// How many of `segments` in-flight segments the random-loss process
+  /// drops: one Bernoulli(random_loss) draw per segment, counted in one
+  /// batch against the cached threshold (sim::Rng::bernoulli_count).
+  std::uint32_t segments_lost(std::uint32_t segments, sim::Rng& rng) const {
+    return rng.bernoulli_count(random_loss_, segments);
   }
 
-  /// True if an over-pipe segment is dropped at the bottleneck tail.
-  bool tail_dropped(sim::Rng& rng) const {
-    return rng.bernoulli(config_.tail_drop_prob);
+  /// How many of `segments` over-pipe segments drop at the bottleneck
+  /// tail: one Bernoulli(tail_drop_prob) draw per segment, batched.
+  std::uint32_t tail_drops(std::uint32_t segments, sim::Rng& rng) const {
+    return rng.bernoulli_count(tail_drop_, segments);
   }
 
   /// Bottleneck pipe size in segments: BDP plus buffer capacity.  Windows
@@ -101,13 +105,20 @@ class PathModel {
 
   /// Override the random per-segment loss probability (scripted loss
   /// schedules, e.g. the Fig. 13 loss-timing case study).
-  void set_random_loss(double p) { config_.random_loss = p; }
+  /// Runs once per chunk, so the threshold is rebuilt only when p changes.
+  void set_random_loss(double p) {
+    config_.random_loss = p;
+    if (!(p == random_loss_.p())) random_loss_ = sim::BernoulliThreshold(p);
+  }
 
   /// Idle period: the bottleneck queue drains between chunk downloads.
   void drain(sim::Ms idle_ms);
 
  private:
   PathConfig config_;
+  // Batched-draw forms of config_.random_loss and config_.tail_drop_prob.
+  sim::BernoulliThreshold random_loss_;
+  sim::BernoulliThreshold tail_drop_;
   sim::Ms queue_ms_ = 0.0;
   std::uint32_t spike_rounds_left_ = 0;
   sim::Ms spike_ms_ = 0.0;

@@ -164,10 +164,7 @@ TransferResult TcpConnection::transfer(std::uint64_t bytes,
         // bursting it into a full buffer.
         window = pipe_floor;
       } else {
-        const std::uint32_t excess = window - pipe_floor;
-        for (std::uint32_t s = 0; s < excess; ++s) {
-          if (path_.tail_dropped(rng_)) ++lost;
-        }
+        lost = path_.tail_drops(window - pipe_floor, rng_);
       }
     }
 
@@ -179,10 +176,7 @@ TransferResult TcpConnection::transfer(std::uint64_t bytes,
         std::max(rtt, path_.serialization_ms(window, mss));
 
     // Random per-segment loss draws for this round.
-    for (std::uint32_t s = 0; s < window; ++s) {
-      if (path_.segment_lost(rng_)) ++lost;
-    }
-    lost = std::min(lost, window);
+    lost = std::min(lost + path_.segments_lost(window, rng_), window);
 
     segments_out_ += window;
     ++result.rounds;

@@ -8,8 +8,10 @@
 // 312-word state one word at a time with a data-dependent branch per word;
 // here the twist is branchless (arithmetic mask instead of a conditional)
 // and unrolled 4-wide, which measures ~3.4x faster per draw at -O2 on the
-// bench host.  The refill is the dominant cost of the per-segment loss
-// draws in net::TcpConnection::transfer (~70 draws per TCP round).
+// bench host.  count_below() serves the TCP model's loss draws (thousands
+// per chunk): it tempers and compares whole runs of the state block
+// without the per-draw index check or double conversion, and consumes
+// exactly the draws that as many operator() calls would.
 #pragma once
 
 #include <cstdint>
@@ -38,13 +40,25 @@ class Mt64 {
 
   result_type operator()() {
     if (index_ >= kN) refill();
-    result_type y = mt_[index_++];
-    // Standard mt19937_64 tempering.
-    y ^= (y >> 29) & 0x5555555555555555ULL;
-    y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
-    y ^= (y << 37) & 0xFFF7EEE000000000ULL;
-    y ^= y >> 43;
-    return y;
+    return temper(mt_[index_++]);
+  }
+
+  /// Draw n words and return how many are below `threshold`.  Consumes
+  /// exactly the n draws that n operator() calls would, refilling as
+  /// needed, so the engine state afterwards is the same either way.
+  std::uint32_t count_below(result_type threshold, std::uint32_t n) {
+    std::uint32_t count = 0;
+    while (n > 0) {
+      if (index_ >= kN) refill();
+      const std::uint32_t take = n < kN - index_ ? n : kN - index_;
+      const std::uint64_t* words = mt_ + index_;
+      for (std::uint32_t i = 0; i < take; ++i) {
+        count += temper(words[i]) < threshold ? 1u : 0u;
+      }
+      index_ += take;
+      n -= take;
+    }
+    return count;
   }
 
   friend bool operator==(const Mt64& a, const Mt64& b) {
@@ -61,6 +75,14 @@ class Mt64 {
   static constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
   static constexpr std::uint64_t kUpperMask = 0xFFFFFFFF80000000ULL;
   static constexpr std::uint64_t kLowerMask = 0x7FFFFFFFULL;
+
+  // Standard mt19937_64 tempering.
+  static std::uint64_t temper(std::uint64_t y) {
+    y ^= (y >> 29) & 0x5555555555555555ULL;
+    y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+    y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+    return y ^ (y >> 43);
+  }
 
   static std::uint64_t twist(std::uint64_t u, std::uint64_t v,
                              std::uint64_t w) {

@@ -6,6 +6,25 @@
 
 namespace vstream::sim {
 
+BernoulliThreshold::BernoulliThreshold(double p) : p_(p), threshold_(0) {
+  // p <= 0 and p >= 1 never draw; NaN draws but never succeeds, which a
+  // threshold of 0 gives.
+  if (!(p > 0.0 && p < 1.0)) return;
+  // Smallest word w with canonical_double(w) >= p.  The top word maps to
+  // nextafter(1, 0) >= p, so the answer lies in [0, max].
+  std::uint64_t lo = 0;
+  std::uint64_t hi = Mt64::max();
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (canonical_double(mid) >= p) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  threshold_ = lo;
+}
+
 double Rng::lognormal_median(double median, double sigma) {
   if (median <= 0.0) throw std::invalid_argument("lognormal median must be > 0");
   return std::lognormal_distribution<double>(std::log(median), sigma)(engine_);

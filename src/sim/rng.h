@@ -16,6 +16,36 @@
 
 namespace vstream::sim {
 
+/// One engine word mapped onto [0, 1) exactly as libstdc++'s
+/// generate_canonical<double, 53> does for a 64-bit engine: round the word
+/// to double (53-bit mantissa), scale by 2^-64 (exact — power-of-two
+/// scaling never rounds), and clamp the half-ulp overflow case back under
+/// 1.0.  Monotone non-decreasing in `word`.
+inline double canonical_double(std::uint64_t word) {
+  const double r = static_cast<double>(word) * 0x1p-64;
+  if (r >= 1.0) [[unlikely]] {
+    return 0x1.fffffffffffffp-1;  // nextafter(1.0, 0.0)
+  }
+  return r;
+}
+
+/// A Bernoulli probability prepared for batched draws (Rng::bernoulli_count).
+/// Because canonical_double is monotone, for p in (0, 1) "canonical < p"
+/// holds exactly when the raw engine word is below threshold(): the
+/// smallest word whose canonical value is >= p.  Building one costs a
+/// 64-step search, so callers keep it alongside the probability.
+class BernoulliThreshold {
+ public:
+  explicit BernoulliThreshold(double p);
+
+  double p() const { return p_; }
+  std::uint64_t threshold() const { return threshold_; }
+
+ private:
+  double p_;
+  std::uint64_t threshold_;  ///< 0 (never below) unless p is in (0, 1)
+};
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
@@ -23,12 +53,10 @@ class Rng {
   /// Uniform double in [0, 1).
   ///
   /// Inline replication of libstdc++'s generate_canonical<double, 53>
-  /// over mt19937_64 — one engine draw scaled by 2^-64 (exact, a power of
-  /// two) with the >= 1.0 guard — so it returns bit-identical values to
-  /// std::uniform_real_distribution<double>(0, 1) on the same engine state
-  /// while skipping the per-call distribution machinery (~2x cheaper on
-  /// the per-segment loss path, which draws ~70 times per TCP round).
-  /// tests/sim/rng_test.cc pins the equivalence.
+  /// over mt19937_64 (canonical_double of one engine draw), so it returns
+  /// bit-identical values to std::uniform_real_distribution<double>(0, 1)
+  /// on the same engine state while skipping the per-call distribution
+  /// machinery.  tests/sim/rng_test.cc pins the equivalence.
   double uniform01() { return canonical(); }
 
   /// Uniform double in [lo, hi).
@@ -47,6 +75,16 @@ class Rng {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return canonical() < p;
+  }
+
+  /// Number of successes in n bernoulli(b.p()) trials.  Consumes the same
+  /// engine draws and returns the same count as n bernoulli(b.p()) calls,
+  /// edge cases included: p <= 0 and p >= 1 draw nothing, NaN draws n
+  /// times and never succeeds.  tests/sim/rng_test.cc pins the equivalence.
+  std::uint32_t bernoulli_count(const BernoulliThreshold& b, std::uint32_t n) {
+    if (b.p() <= 0.0) return 0;
+    if (b.p() >= 1.0) return n;
+    return engine_.count_below(b.threshold(), n);
   }
 
   /// Exponential with the given mean (mean > 0).
@@ -87,17 +125,7 @@ class Rng {
   Mt64& engine() { return engine_; }
 
  private:
-  /// One engine draw mapped onto [0, 1) exactly as libstdc++'s
-  /// generate_canonical does for a 64-bit engine: round the draw to double
-  /// (53-bit mantissa), scale by 2^-64 (exact — power-of-two scaling never
-  /// rounds), and clamp the half-ulp overflow case back under 1.0.
-  double canonical() {
-    const double r = static_cast<double>(engine_()) * 0x1p-64;
-    if (r >= 1.0) [[unlikely]] {
-      return 0x1.fffffffffffffp-1;  // nextafter(1.0, 0.0)
-    }
-    return r;
-  }
+  double canonical() { return canonical_double(engine_()); }
 
   // Bit-exact mt19937_64 replacement with a faster refill (sim/mt64.h);
   // the std distribution templates above accept it like any URBG and draw

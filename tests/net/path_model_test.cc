@@ -97,12 +97,9 @@ TEST(PathModelTest, LossProbabilityObeyed) {
   config.tail_drop_prob = 0.30;
   PathModel path(config);
   sim::Rng rng(6);
-  int random_losses = 0, tail_drops = 0;
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) {
-    if (path.segment_lost(rng)) ++random_losses;
-    if (path.tail_dropped(rng)) ++tail_drops;
-  }
+  const std::uint32_t n = 100'000;
+  const std::uint32_t random_losses = path.segments_lost(n, rng);
+  const std::uint32_t tail_drops = path.tail_drops(n, rng);
   EXPECT_NEAR(random_losses / static_cast<double>(n), 0.05, 0.005);
   EXPECT_NEAR(tail_drops / static_cast<double>(n), 0.30, 0.01);
 }
@@ -112,9 +109,52 @@ TEST(PathModelTest, SetRandomLossOverride) {
   config.random_loss = 0.0;
   PathModel path(config);
   sim::Rng rng(7);
-  for (int i = 0; i < 1'000; ++i) EXPECT_FALSE(path.segment_lost(rng));
+  EXPECT_EQ(path.segments_lost(1'000, rng), 0u);
   path.set_random_loss(1.0);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(path.segment_lost(rng));
+  EXPECT_EQ(path.segments_lost(10, rng), 10u);
+}
+
+// The batched counts are the per-segment Bernoulli draws the TCP model
+// was calibrated with: same count, same engine state afterwards.
+std::uint32_t per_draw_count(double p, std::uint32_t n, sim::Rng& rng) {
+  std::uint32_t count = 0;
+  for (std::uint32_t i = 0; i < n; ++i) count += rng.bernoulli(p) ? 1 : 0;
+  return count;
+}
+
+TEST(PathModelTest, LossCountsMatchPerSegmentDraws) {
+  for (const AccessType type :
+       {AccessType::kResidential, AccessType::kEnterprise,
+        AccessType::kInternational}) {
+    PathConfig config = make_path_config(type, 1'500.0, 20'000.0);
+    config.random_loss *= 100.0;  // enough losses to make the counts bite
+    const PathModel path(config);
+    sim::Rng batched(31);
+    sim::Rng looped = batched;
+    for (const std::uint32_t n : {0u, 1u, 70u, 311u, 312u, 313u, 5'000u}) {
+      ASSERT_EQ(path.segments_lost(n, batched),
+                per_draw_count(config.random_loss, n, looped));
+      ASSERT_EQ(path.tail_drops(n, batched),
+                per_draw_count(config.tail_drop_prob, n, looped));
+      ASSERT_TRUE(batched.engine() == looped.engine()) << "n=" << n;
+    }
+  }
+}
+
+TEST(PathModelTest, SetRandomLossRefreshesCachedThreshold) {
+  PathConfig config;
+  config.random_loss = 0.02;
+  PathModel path(config);
+  sim::Rng batched(8);
+  sim::Rng looped = batched;
+  for (const double p : {0.02, 0.25, 0.25, 1e-5, 0.0, 0.02}) {
+    path.set_random_loss(p);
+    EXPECT_EQ(path.config().random_loss, p);
+    ASSERT_EQ(path.segments_lost(2'000, batched),
+              per_draw_count(p, 2'000, looped))
+        << "p=" << p;
+    ASSERT_TRUE(batched.engine() == looped.engine()) << "p=" << p;
+  }
 }
 
 TEST(PathModelTest, PipeSegmentsIsBdpPlusBuffer) {

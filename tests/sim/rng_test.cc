@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -199,6 +201,99 @@ TEST(RngTest, Mt64UrbgTraitsMatchStd) {
   std::mt19937_64 reference(123);
   std::normal_distribution<double> da(3.0, 1.5), db(3.0, 1.5);
   for (int i = 0; i < 10'000; ++i) ASSERT_EQ(da(ours), db(reference));
+}
+
+// Batched Bernoulli counting (the TCP model's loss draws) must be n
+// bernoulli(p) calls in one: the same count and the same engine state
+// afterwards, for every p including the edge cases and for counts that
+// start anywhere in the 312-word state block and cross refills.
+std::vector<double> count_probabilities() {
+  std::vector<double> ps = {0.0,
+                            -0.0,
+                            5e-324,
+                            1e-5,
+                            8e-5,
+                            2e-4,
+                            0.02,
+                            0.25,
+                            0.5,  // canonical value of 2^63
+                            0.999,
+                            std::nextafter(1.0, 0.0),
+                            1.0,
+                            1.5,
+                            std::numeric_limits<double>::quiet_NaN()};
+  // Rounding boundaries: p equal to the canonical value of a word (so some
+  // word maps exactly onto p), and the next double up.
+  Mt64 words(4242);
+  for (int i = 0; i < 24; ++i) {
+    const std::uint64_t word = words() >> (i % 8 * 8);
+    const double p = canonical_double(word);
+    ps.push_back(p);
+    ps.push_back(std::nextafter(p, 1.0));
+  }
+  return ps;
+}
+
+TEST(RngTest, BernoulliThresholdIsTheExactBoundary) {
+  // Doubles just below 2^63 are 1024 apart, so words from 2^63 - 512 up
+  // (the tie rounds to even) already round to 2^63, i.e. to canonical 0.5.
+  EXPECT_EQ(BernoulliThreshold(0.5).threshold(),
+            (std::uint64_t{1} << 63) - 512);
+  EXPECT_EQ(BernoulliThreshold(5e-324).threshold(), 1u);
+  for (const double p : count_probabilities()) {
+    if (!(p > 0.0 && p < 1.0)) continue;
+    const std::uint64_t t = BernoulliThreshold(p).threshold();
+    EXPECT_GE(canonical_double(t), p) << "p=" << p;
+    if (t > 0) {
+      EXPECT_LT(canonical_double(t - 1), p) << "p=" << p;
+    }
+  }
+}
+
+TEST(RngTest, BernoulliCountMatchesPerDrawLoop) {
+  for (const double p : count_probabilities()) {
+    const BernoulliThreshold b(p);
+    for (const int offset : {0, 1, 157, 311}) {
+      Rng batched(20160516);
+      for (int k = 0; k < offset; ++k) batched.engine()();
+      Rng looped = batched;
+      for (const std::uint32_t n : {0u, 1u, 311u, 312u, 313u, 1000u, 5000u}) {
+        std::uint32_t expected = 0;
+        for (std::uint32_t i = 0; i < n; ++i) {
+          expected += looped.bernoulli(p) ? 1 : 0;
+        }
+        ASSERT_EQ(batched.bernoulli_count(b, n), expected)
+            << "p=" << p << " offset=" << offset << " n=" << n;
+        ASSERT_TRUE(batched.engine() == looped.engine())
+            << "p=" << p << " offset=" << offset << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(RngTest, Mt64CountBelowMatchesPerDrawLoop) {
+  // Words the counted stream itself contains pin the strict comparison: a
+  // word equal to the threshold is not below it.
+  Mt64 probe(99);
+  std::vector<std::uint64_t> thresholds = {0, 1, std::uint64_t{1} << 63,
+                                           0x123456789abcdef0, Mt64::max()};
+  for (int k = 0; k < 700; ++k) {
+    const std::uint64_t word = probe();
+    if (k == 0 || k == 311 || k == 312 || k == 699) thresholds.push_back(word);
+  }
+  for (const std::uint64_t threshold : thresholds) {
+    Mt64 batched(99);
+    Mt64 looped(99);
+    for (const std::uint32_t n : {0u, 1u, 311u, 312u, 313u, 1000u, 5000u}) {
+      std::uint32_t expected = 0;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        expected += looped() < threshold ? 1 : 0;
+      }
+      ASSERT_EQ(batched.count_below(threshold, n), expected)
+          << "threshold=" << threshold << " n=" << n;
+      ASSERT_TRUE(batched == looped);
+    }
+  }
 }
 
 TEST(RngTest, ForkProducesIndependentStreams) {
