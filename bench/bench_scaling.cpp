@@ -6,7 +6,8 @@
 // The point of the logical-shards/physical-threads split is that the
 // thread count is a pure throughput knob: this bench pins the partition
 // at 64 logical shards (the engine default) and sweeps the worker pool
-// over {1, 2, 4, 8}, reporting the best-of-reps simulation rate per
+// over {1, 2, 3, 4, 8} (every width up to a 4-core host, then
+// oversubscribed), reporting the best-of-reps simulation rate per
 // thread count plus the analyze_spill wall time over a 64-file spill
 // set at the same thread counts.  Every timed run is also checked
 // byte-identical against the single-threaded reference — a scaling
@@ -36,7 +37,7 @@ using namespace vstream;
 namespace {
 
 constexpr std::size_t kLogicalShards = 64;
-constexpr std::size_t kThreadSweep[] = {1, 2, 4, 8};
+constexpr std::size_t kThreadSweep[] = {1, 2, 3, 4, 8};
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(

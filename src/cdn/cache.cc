@@ -1,5 +1,6 @@
 #include "cdn/cache.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -20,8 +21,7 @@ void CacheStore::reserve(std::size_t expected_objects) {
 
 bool CacheStore::insert(const ChunkKey& key, std::uint64_t size_bytes) {
   if (size_bytes > capacity_bytes_) return false;
-  const auto [it, inserted] = objects_.try_emplace(key, size_bytes);
-  if (!inserted) {
+  if (!objects_.try_emplace(key, size_bytes).second) {
     policy_->on_access(key);
     return true;
   }
@@ -39,10 +39,9 @@ bool CacheStore::insert(const ChunkKey& key, std::uint64_t size_bytes) {
 }
 
 void CacheStore::erase(const ChunkKey& key) {
-  const auto it = objects_.find(key);
-  if (it == objects_.end()) return;
-  used_bytes_ -= it->second;
-  objects_.erase(it);
+  const std::optional<std::uint64_t> size_bytes = objects_.erase(key);
+  if (!size_bytes) return;
+  used_bytes_ -= *size_bytes;
   policy_->on_evict(key);
 }
 

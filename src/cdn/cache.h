@@ -9,11 +9,11 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "cdn/cache_policy.h"
 #include "cdn/chunk.h"
+#include "cdn/chunk_key_map.h"
 
 namespace vstream::cdn {
 
@@ -22,7 +22,9 @@ class CacheStore {
  public:
   CacheStore(std::uint64_t capacity_bytes, std::unique_ptr<CachePolicy> policy);
 
-  bool contains(const ChunkKey& key) const { return objects_.contains(key); }
+  bool contains(const ChunkKey& key) const {
+    return objects_.find(key) != nullptr;
+  }
 
   /// Record a hit (moves the object in the policy's order).  Returns
   /// whether the object is resident — the policy tracks exactly the
@@ -50,7 +52,7 @@ class CacheStore {
   std::uint64_t used_bytes_ = 0;
   std::uint64_t evictions_ = 0;
   std::unique_ptr<CachePolicy> policy_;
-  std::unordered_map<ChunkKey, std::uint64_t, ChunkKeyHash> objects_;
+  ChunkKeyMap<std::uint64_t> objects_;  // key -> size in bytes
 };
 
 /// Where a lookup was satisfied.

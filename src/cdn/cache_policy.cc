@@ -1,6 +1,8 @@
 #include "cdn/cache_policy.h"
 
+#include <algorithm>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 
 namespace vstream::cdn {
@@ -41,17 +43,18 @@ void LruPolicy::link_front(std::uint32_t index) {
 }
 
 void LruPolicy::on_insert(const ChunkKey& key, std::uint64_t /*size_bytes*/) {
-  assert(!position_.contains(key));
   const std::uint32_t index = acquire_node();
+  [[maybe_unused]] const bool inserted =
+      position_.try_emplace(key, index).second;
+  assert(inserted);
   nodes_[index].key = key;
   link_front(index);
-  position_.emplace(key, index);
 }
 
 bool LruPolicy::on_access(const ChunkKey& key) {
-  const auto it = position_.find(key);
-  if (it == position_.end()) return false;  // tolerate spurious notifications
-  const std::uint32_t index = it->second;
+  const std::uint32_t* const position = position_.find(key);
+  if (position == nullptr) return false;  // tolerate spurious notifications
+  const std::uint32_t index = *position;
   if (index != head_) {
     unlink(index);
     link_front(index);
@@ -65,13 +68,12 @@ ChunkKey LruPolicy::choose_victim() {
 }
 
 void LruPolicy::on_evict(const ChunkKey& key) {
-  const auto it = position_.find(key);
-  if (it == position_.end()) return;
-  const std::uint32_t index = it->second;
+  const std::optional<std::uint32_t> position = position_.erase(key);
+  if (!position) return;
+  const std::uint32_t index = *position;
   unlink(index);
   nodes_[index].next = free_head_;  // return the slot to the free list
   free_head_ = index;
-  position_.erase(it);
 }
 
 void LruPolicy::reserve(std::size_t expected_objects) {
@@ -83,20 +85,21 @@ void LruPolicy::reserve(std::size_t expected_objects) {
 
 void PerfectLfuPolicy::on_insert(const ChunkKey& key,
                                  std::uint64_t /*size_bytes*/) {
-  assert(!resident_.contains(key));
-  const std::uint64_t freq = ++history_[key];  // history survives eviction
+  // History survives eviction.
+  const std::uint64_t freq = ++*history_.try_emplace(key, 0).first;
   const Entry entry{freq, next_seq_++};
-  resident_[key] = entry;
+  [[maybe_unused]] const bool inserted =
+      resident_.try_emplace(key, entry).second;
+  assert(inserted);
   by_freq_[entry] = key;
 }
 
 bool PerfectLfuPolicy::on_access(const ChunkKey& key) {
-  const auto it = resident_.find(key);
-  if (it == resident_.end()) return false;
-  by_freq_.erase(it->second);
-  const Entry entry{++history_[key], next_seq_++};
-  it->second = entry;
-  by_freq_[entry] = key;
+  Entry* const entry = resident_.find(key);
+  if (entry == nullptr) return false;
+  by_freq_.erase(*entry);
+  *entry = Entry{++*history_.try_emplace(key, 0).first, next_seq_++};
+  by_freq_[*entry] = key;
   return true;
 }
 
@@ -106,31 +109,30 @@ ChunkKey PerfectLfuPolicy::choose_victim() {
 }
 
 void PerfectLfuPolicy::on_evict(const ChunkKey& key) {
-  const auto it = resident_.find(key);
-  if (it == resident_.end()) return;
-  by_freq_.erase(it->second);
-  resident_.erase(it);
+  const std::optional<Entry> entry = resident_.erase(key);
+  if (!entry) return;
+  by_freq_.erase(*entry);
 }
 
 // ------------------------------------------------------------- GD-Size
 
 void GdSizePolicy::on_insert(const ChunkKey& key, std::uint64_t size_bytes) {
-  assert(!resident_.contains(key));
-  sizes_[key] = std::max<std::uint64_t>(1, size_bytes);
-  const Entry entry{inflation_ + 1.0 / static_cast<double>(sizes_[key]),
+  const std::uint64_t size = std::max<std::uint64_t>(1, size_bytes);
+  const Entry entry{inflation_ + 1.0 / static_cast<double>(size),
                     next_seq_++};
-  resident_[key] = entry;
+  [[maybe_unused]] const bool inserted =
+      resident_.try_emplace(key, Resident{entry, size}).second;
+  assert(inserted);
   by_priority_[entry] = key;
 }
 
 bool GdSizePolicy::on_access(const ChunkKey& key) {
-  const auto it = resident_.find(key);
-  if (it == resident_.end()) return false;
-  by_priority_.erase(it->second);
-  const Entry entry{inflation_ + 1.0 / static_cast<double>(sizes_[key]),
-                    next_seq_++};
-  it->second = entry;
-  by_priority_[entry] = key;
+  Resident* const resident = resident_.find(key);
+  if (resident == nullptr) return false;
+  by_priority_.erase(resident->entry);
+  resident->entry = Entry{
+      inflation_ + 1.0 / static_cast<double>(resident->size), next_seq_++};
+  by_priority_[resident->entry] = key;
   return true;
 }
 
@@ -143,11 +145,9 @@ ChunkKey GdSizePolicy::choose_victim() {
 }
 
 void GdSizePolicy::on_evict(const ChunkKey& key) {
-  const auto it = resident_.find(key);
-  if (it == resident_.end()) return;
-  by_priority_.erase(it->second);
-  resident_.erase(it);
-  sizes_.erase(key);
+  const std::optional<Resident> resident = resident_.erase(key);
+  if (!resident) return;
+  by_priority_.erase(resident->entry);
 }
 
 // ------------------------------------------------------------- factory

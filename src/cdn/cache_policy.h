@@ -10,10 +10,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cdn/chunk.h"
+#include "cdn/chunk_key_map.h"
 
 namespace vstream::cdn {
 
@@ -74,7 +74,7 @@ class LruPolicy final : public CachePolicy {
   std::uint32_t head_ = kNil;  // most recent
   std::uint32_t tail_ = kNil;  // least recent
   std::uint32_t free_head_ = kNil;
-  std::unordered_map<ChunkKey, std::uint32_t, ChunkKeyHash> position_;
+  ChunkKeyMap<std::uint32_t> position_;  // key -> arena slot
 };
 
 /// Perfect LFU: frequency counts persist across evictions (Breslau et al.),
@@ -96,8 +96,8 @@ class PerfectLfuPolicy final : public CachePolicy {
     friend auto operator<=>(const Entry&, const Entry&) = default;
   };
   std::map<Entry, ChunkKey> by_freq_;
-  std::unordered_map<ChunkKey, Entry, ChunkKeyHash> resident_;
-  std::unordered_map<ChunkKey, std::uint64_t, ChunkKeyHash> history_;
+  ChunkKeyMap<Entry> resident_;
+  ChunkKeyMap<std::uint64_t> history_;  // key -> admissions + accesses
   std::uint64_t next_seq_ = 0;
 };
 
@@ -117,10 +117,13 @@ class GdSizePolicy final : public CachePolicy {
     std::uint64_t seq;
     friend auto operator<=>(const Entry&, const Entry&) = default;
   };
+  struct Resident {
+    Entry entry;
+    std::uint64_t size;  // >= 1
+  };
   double inflation_ = 0.0;  // the "L" ageing term
   std::map<Entry, ChunkKey> by_priority_;
-  std::unordered_map<ChunkKey, Entry, ChunkKeyHash> resident_;
-  std::unordered_map<ChunkKey, std::uint64_t, ChunkKeyHash> sizes_;
+  ChunkKeyMap<Resident> resident_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "cdn/chunk_key_map.h"
 #include "client/abr.h"
 
 namespace vstream::engine {
@@ -210,10 +210,10 @@ WarmArchive build_warm_archive(const cdn::Fleet& prototype,
                        });
     // Mark each key's last admission (recency order is by last touch).
     std::vector<char> is_last(sequence.size(), 0);
-    std::unordered_set<cdn::ChunkKey, cdn::ChunkKeyHash> seen;
+    cdn::ChunkKeyMap<bool> seen;
     seen.reserve(sequence.size());
     for (std::size_t i = sequence.size(); i-- > 0;) {
-      is_last[i] = seen.insert(sequence[i].first).second ? 1 : 0;
+      is_last[i] = seen.try_emplace(sequence[i].first, true).second ? 1 : 0;
     }
     cache.warm_bulk(
         lru_resident_suffix(sequence, is_last, server.disk_bytes),

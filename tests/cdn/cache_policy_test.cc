@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace vstream::cdn {
 namespace {
 
@@ -168,6 +172,121 @@ TEST_P(PolicyPropertyTest, VictimsAreResident) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyPropertyTest,
                          ::testing::Values(PolicyKind::kLru,
                                            PolicyKind::kPerfectLfu,
+                                           PolicyKind::kGdSize));
+
+// Reference models written from the policies' definitions with linear
+// scans: victim = minimum (frequency, admission-or-access sequence) for
+// perfect-LFU, minimum (priority, sequence) for GD-size.  A seeded mix
+// of insert/access/evict (victims, arbitrary residents and spurious
+// keys) must pick the same victim and answer on_access the same way.
+struct RefEntry {
+  ChunkKey key;
+  double rank;  // LFU: frequency; GD-size: priority
+  std::uint64_t seq;
+  std::uint64_t size;
+};
+
+class RefPolicy {
+ public:
+  explicit RefPolicy(bool gd_size) : gd_size_(gd_size) {}
+
+  void on_insert(const ChunkKey& k, std::uint64_t size_bytes) {
+    const std::uint64_t size = std::max<std::uint64_t>(1, size_bytes);
+    resident_.push_back({k, rank_on_touch(k, size), seq_++, size});
+  }
+  bool on_access(const ChunkKey& k) {
+    for (RefEntry& e : resident_) {
+      if (e.key == k) {
+        e.rank = rank_on_touch(k, e.size);
+        e.seq = seq_++;
+        return true;
+      }
+    }
+    return false;
+  }
+  ChunkKey choose_victim() {
+    const RefEntry* min = &resident_.front();
+    for (const RefEntry& e : resident_) {
+      if (e.rank < min->rank || (e.rank == min->rank && e.seq < min->seq)) {
+        min = &e;
+      }
+    }
+    if (gd_size_) inflation_ = min->rank;
+    return min->key;
+  }
+  void on_evict(const ChunkKey& k) {
+    std::erase_if(resident_, [&](const RefEntry& e) { return e.key == k; });
+  }
+  const std::vector<RefEntry>& resident() const { return resident_; }
+
+ private:
+  double rank_on_touch(const ChunkKey& k, std::uint64_t size) {
+    if (gd_size_) return inflation_ + 1.0 / static_cast<double>(size);
+    for (auto& [hk, count] : history_) {
+      if (hk == k) return static_cast<double>(++count);
+    }
+    history_.emplace_back(k, 1);
+    return 1.0;
+  }
+
+  bool gd_size_;
+  double inflation_ = 0.0;
+  std::uint64_t seq_ = 0;
+  std::vector<RefEntry> resident_;
+  std::vector<std::pair<ChunkKey, std::uint64_t>> history_;
+};
+
+class PolicyReferenceTest : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(PolicyReferenceTest, MatchesReferenceModelOverSeededMix) {
+  auto policy = make_policy(GetParam());
+  RefPolicy ref(GetParam() == PolicyKind::kGdSize);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  // Sizes from a small set so that GD-size priorities tie often.
+  const std::uint64_t sizes[] = {0, 1, 1'000, 1'000, 250'000, 1'875'000};
+  const auto resident = [&](const ChunkKey& k) {
+    return std::any_of(ref.resident().begin(), ref.resident().end(),
+                       [&](const RefEntry& e) { return e.key == k; });
+  };
+  std::size_t victims = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    const ChunkKey k = key(static_cast<std::uint32_t>(next(48)),
+                           static_cast<std::uint32_t>(next(2)));
+    const std::uint64_t op = next(10);
+    if (op < 4 || ref.resident().size() < 4) {
+      if (resident(k)) continue;
+      const std::uint64_t size = sizes[next(6)];
+      policy->on_insert(k, size);
+      ref.on_insert(k, size);
+    } else if (op < 7) {
+      ASSERT_EQ(policy->on_access(k), ref.on_access(k)) << "step " << step;
+    } else if (op < 9) {
+      const ChunkKey victim = policy->choose_victim();
+      ASSERT_EQ(victim, ref.choose_victim()) << "step " << step;
+      policy->on_evict(victim);
+      ref.on_evict(victim);
+      ++victims;
+    } else {
+      policy->on_evict(k);  // resident or spurious
+      ref.on_evict(k);
+    }
+  }
+  EXPECT_GT(victims, 3'000u);
+  while (!ref.resident().empty()) {
+    const ChunkKey victim = policy->choose_victim();
+    ASSERT_EQ(victim, ref.choose_victim());
+    policy->on_evict(victim);
+    ref.on_evict(victim);
+  }
+  EXPECT_THROW(policy->choose_victim(), std::logic_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(FrequencyAndSize, PolicyReferenceTest,
+                         ::testing::Values(PolicyKind::kPerfectLfu,
                                            PolicyKind::kGdSize));
 
 }  // namespace

@@ -75,5 +75,35 @@ TEST(WarmupTest, BulkBuildMatchesWithUniversalHeadAndOtherFills) {
   }
 }
 
+TEST(WarmupTest, BulkBuildMatchesWhenRamIsSmallerThanTheLargestChunk) {
+  // RAM below every top-rung chunk (VBR factor >= 0.75) but above most
+  // lower-rung ones: the resident-suffix scan must skip each object larger
+  // than the level (write-through never admits it, so it evicts nothing)
+  // and stop at the first smaller one that no longer fits.
+  WarmFixture fx;
+  const auto ladder = client::default_bitrate_ladder();
+  const double tau = fx.catalog.chunk_duration_s();
+  cdn::FleetConfig config = fx.scenario.fleet;
+  config.server.ram_bytes =
+      static_cast<std::uint64_t>(0.7 * cdn::chunk_bytes(ladder.back(), tau));
+  ASSERT_LT(config.server.ram_bytes,
+            static_cast<std::uint64_t>(0.75 *
+                                       cdn::chunk_bytes(ladder.back(), tau)));
+  const cdn::Fleet fleet(config, fx.catalog.size());
+  for (const bool head : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "head=" << head);
+    const engine::WarmArchive bulk =
+        engine::build_warm_archive(fleet, fx.catalog, 0.92, head);
+    const engine::WarmArchive reference = engine::build_warm_archive(
+        fleet, fx.catalog, 0.92, head, engine::WarmBuildMode::kWriteThrough);
+    for (std::uint32_t sidx = 0; sidx < bulk.server_count(); ++sidx) {
+      const cdn::CacheStore& ram = bulk.for_server(sidx).ram();
+      EXPECT_GE(ram.object_count(), 1u) << "s" << sidx;
+      EXPECT_LE(ram.used_bytes(), config.server.ram_bytes) << "s" << sidx;
+    }
+    expect_identical_archives(bulk, reference, fx);
+  }
+}
+
 }  // namespace
 }  // namespace vstream

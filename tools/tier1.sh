@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + ctest, then the sim/cdn/core/faults/
 # engine suites again under AddressSanitizer (VSTREAM_SANITIZE=address),
-# the sim/net/engine/core suites under UBSan (VSTREAM_SANITIZE=undefined),
+# the sim/net/cdn/engine/core suites under UBSan (VSTREAM_SANITIZE=undefined),
 # and the work-stealing executor + sharded engine suites under TSan
 # (VSTREAM_SANITIZE=thread) at >= 4 physical workers.  The engine
 # ASan/TSan passes exercise the overload-protection layer (breakers,
@@ -48,12 +48,14 @@ echo "==> tier-1: ASan serve-unification equivalence (explicit)"
 
 echo "==> tier-1: UBSan build ($ubsan_dir)"
 cmake -B "$ubsan_dir" -S "$repo_root" -DVSTREAM_SANITIZE=undefined
-cmake --build "$ubsan_dir" -j --target test_sim test_net test_engine test_core test_telemetry test_failpoints
+cmake --build "$ubsan_dir" -j --target test_sim test_net test_cdn test_engine test_core test_telemetry test_failpoints
 
-echo "==> tier-1: UBSan suites (sim, net, engine, core, telemetry, failpoints)"
+echo "==> tier-1: UBSan suites (sim, net, cdn, engine, core, telemetry, failpoints)"
 # sim and net hold the shift/compare-heavy RNG code: the Mt64 twist and
-# tempering and the batched loss counts of the TCP model.
-for suite in test_sim test_net test_engine test_core test_telemetry test_failpoints; do
+# tempering and the batched loss counts of the TCP model.  cdn holds the
+# flat cache index (cdn/chunk_key_map.h): masked probe arithmetic and
+# backward-shift deletion, driven by its differential tests.
+for suite in test_sim test_net test_cdn test_engine test_core test_telemetry test_failpoints; do
   echo "--> $suite"
   UBSAN_OPTIONS=halt_on_error=1 "$ubsan_dir/tests/$suite"
 done
