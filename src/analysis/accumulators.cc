@@ -13,8 +13,7 @@ namespace vstream::analysis {
 namespace {
 
 /// Sort captured per-session entries into ascending session-id order —
-/// the canonical fold order every finalize() uses, and the order the
-/// batch functions iterate a JoinedDataset in.
+/// the canonical fold order every finalize() uses.
 template <typename Entry>
 void sort_by_session(std::vector<Entry>& entries) {
   std::sort(entries.begin(), entries.end(),
@@ -73,7 +72,7 @@ QoeAggregate QoeAccumulator::finalize() && {
 
 void PrefixRollupAccumulator::add(const telemetry::JoinedSession& session) {
   const SessionNetMetrics m = session_net_metrics(session);
-  if (!m.valid) return;  // the batch roll-up skips these sessions too
+  if (!m.valid) return;  // no SRTT samples: nothing to roll up
   Entry e;
   e.session_id = session.session_id;
   e.prefix = net::prefix24_of(session.player->client_ip);
@@ -93,9 +92,8 @@ void PrefixRollupAccumulator::merge(PrefixRollupAccumulator&& other) {
 std::vector<PrefixRollup> PrefixRollupAccumulator::finalize() && {
   sort_by_session(entries_);
 
-  // Same per-prefix fold as rollup_prefixes(), applied in the same
-  // (ascending session id) order: identical FP sums, identical last-wins
-  // country/org/access.
+  // Per-prefix fold in ascending session-id order: the FP sums and the
+  // last-wins country/org/access are independent of feed order.
   struct Acc {
     std::size_t sessions = 0;
     double srtt_min = std::numeric_limits<double>::infinity();

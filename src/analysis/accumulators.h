@@ -1,26 +1,24 @@
-// Mergeable streaming accumulators for the §4 aggregates.
+// Mergeable streaming accumulators for the §4 aggregates — the one
+// implementation of each.
 //
-// The batch analyses (aggregate_qoe, rollup_prefixes, recovery_impact)
-// fold a fully materialized JoinedDataset.  These accumulators consume
-// one JoinedSession at a time — fed from a StreamingJoiner as sessions
-// stream off a sink — and so run in O(sessions) memory regardless of the
-// chunk count.  Per-shard accumulators merge() into one before finalize.
+// The accumulators consume one JoinedSession at a time — fed from a
+// StreamingJoiner as sessions stream off a sink — and so run in
+// O(sessions) memory regardless of the chunk count.  Per-shard
+// accumulators merge() into one before finalize.  The batch analyses
+// over a materialized JoinedDataset (aggregate_qoe, rollup_prefixes,
+// recovery_impact) are fold_sessions() of these same accumulators, so
+// batch and streaming results agree bit for bit by construction.
 //
 // Determinism: each add() captures only per-session values; finalize()
 // sorts the captured entries by session id and folds them in that order.
 // The result is therefore a pure function of the per-session records —
 // independent of feed order, shard count, or how accumulators were
-// merged.  QoeAccumulator and PrefixRollupAccumulator fold in exactly
-// the order the batch functions iterate (ascending session id), so their
-// output is bit-identical to the batch result.  RecoveryImpactAccumulator
-// regroups the batch version's chunk-order sums per session, so its FP
-// means can differ from the batch result in the last bits (counts are
-// exact); it is deterministic in its own right, just not bit-aligned with
-// the batch fold.
+// merged.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/aggregate.h"
@@ -29,7 +27,7 @@
 
 namespace vstream::analysis {
 
-/// Streaming aggregate_qoe(): bit-identical to the batch result.
+/// The fold behind aggregate_qoe().
 class QoeAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);
@@ -46,7 +44,8 @@ class QoeAccumulator {
   std::vector<Entry> entries_;
 };
 
-/// Streaming rollup_prefixes(): bit-identical to the batch result.
+/// The fold behind rollup_prefixes(): sessions without valid network
+/// metrics are skipped.
 class PrefixRollupAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);
@@ -106,9 +105,8 @@ class PerfScoreAccumulator {
   std::vector<Entry> entries_;
 };
 
-/// Streaming recovery_impact().  Counts match the batch result exactly;
-/// the FP means (mean_recovery_ms, mean_dfb_*) agree to rounding but not
-/// necessarily to the bit (see the header comment).
+/// The fold behind recovery_impact().  FP sums are taken in chunk order
+/// within a session, then across sessions in ascending id order.
 class RecoveryImpactAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);
@@ -140,5 +138,16 @@ class RecoveryImpactAccumulator {
   };
   std::vector<Entry> entries_;
 };
+
+/// Fold an accumulator over every session of a materialized dataset —
+/// how the batch analyses are defined.
+template <typename Accumulator>
+auto fold_sessions(const telemetry::JoinedDataset& data) {
+  Accumulator acc;
+  for (const telemetry::JoinedSession& session : data.sessions()) {
+    acc.add(session);
+  }
+  return std::move(acc).finalize();
+}
 
 }  // namespace vstream::analysis

@@ -41,6 +41,8 @@ struct PrefixRollup {
   net::AccessType access = net::AccessType::kResidential;
 };
 
+/// A fold of PrefixRollupAccumulator (analysis/accumulators.h), sorted by
+/// prefix.
 std::vector<PrefixRollup> rollup_prefixes(
     const telemetry::JoinedDataset& data);
 

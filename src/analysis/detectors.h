@@ -94,6 +94,7 @@ struct RecoveryImpact {
   }
 };
 
+/// A fold of RecoveryImpactAccumulator (analysis/accumulators.h).
 RecoveryImpact recovery_impact(const telemetry::JoinedDataset& joined);
 
 }  // namespace vstream::analysis

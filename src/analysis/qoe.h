@@ -37,6 +37,7 @@ struct QoeAggregate {
   std::size_t sessions = 0;
 };
 
+/// A fold of QoeAccumulator (analysis/accumulators.h) over the dataset.
 QoeAggregate aggregate_qoe(const telemetry::JoinedDataset& data);
 
 }  // namespace vstream::analysis

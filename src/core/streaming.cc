@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -13,6 +12,65 @@
 namespace vstream::core {
 
 namespace {
+
+/// Everything pass 2 folds: the four §4 accumulators plus the joiner's
+/// session accounting.  One bundle, so the serial fold, the per-file
+/// folds, their file-order merge and the cross-file pass all add, merge
+/// and finish the same set.
+struct Fold {
+  explicit Fold(double chunk_duration_s) : perf(chunk_duration_s) {}
+
+  void add(const telemetry::JoinedSession& session) {
+    qoe.add(session);
+    prefixes.add(session);
+    perf.add(session);
+    recovery.add(session);
+  }
+
+  /// Join every group `stream` yields, except those whose session id
+  /// `skip` accepts, add the joined sessions and tally the joiner's
+  /// accounting.
+  template <typename Skip>
+  void join_stream(telemetry::SessionGroupStream& stream,
+                   const telemetry::ProxyFilterResult& proxies, Skip skip) {
+    telemetry::StreamingJoiner joiner(&proxies);
+    while (auto group = stream.next()) {
+      if (skip(group->session_id)) continue;
+      if (const auto joined = joiner.join(*group)) add(*joined);
+    }
+    sessions_joined += joiner.sessions_joined();
+    dropped_as_proxy += joiner.dropped_as_proxy();
+    dropped_incomplete += joiner.dropped_incomplete();
+  }
+
+  void merge(Fold&& other) {
+    sessions_joined += other.sessions_joined;
+    dropped_as_proxy += other.dropped_as_proxy;
+    dropped_incomplete += other.dropped_incomplete;
+    qoe.merge(std::move(other.qoe));
+    prefixes.merge(std::move(other.prefixes));
+    perf.merge(std::move(other.perf));
+    recovery.merge(std::move(other.recovery));
+  }
+
+  void finish(StreamingAnalysis& out) && {
+    out.sessions_joined = sessions_joined;
+    out.dropped_as_proxy = dropped_as_proxy;
+    out.dropped_incomplete = dropped_incomplete;
+    out.qoe = std::move(qoe).finalize();
+    out.prefixes = std::move(prefixes).finalize();
+    out.perf = std::move(perf).finalize();
+    out.recovery = std::move(recovery).finalize();
+  }
+
+  std::size_t sessions_joined = 0;
+  std::size_t dropped_as_proxy = 0;
+  std::size_t dropped_incomplete = 0;
+  analysis::QoeAccumulator qoe;
+  analysis::PrefixRollupAccumulator prefixes;
+  analysis::PerfScoreAccumulator perf;
+  analysis::RecoveryImpactAccumulator recovery;
+};
 
 /// The shared two-pass fold; `open` must return a fresh canonical-order
 /// stream each call.
@@ -40,29 +98,10 @@ StreamingAnalysis analyze_impl(const OpenStream& open,
   }
 
   // Pass 2: join + accumulate, one session resident at a time.
-  telemetry::StreamingJoiner joiner(&out.proxies);
-  analysis::QoeAccumulator qoe;
-  analysis::PrefixRollupAccumulator prefixes;
-  analysis::PerfScoreAccumulator perf(chunk_duration_s);
-  analysis::RecoveryImpactAccumulator recovery;
-  {
-    auto stream = open();
-    while (auto group = stream->next()) {
-      const auto joined = joiner.join(*group);
-      if (!joined) continue;
-      qoe.add(*joined);
-      prefixes.add(*joined);
-      perf.add(*joined);
-      recovery.add(*joined);
-    }
-  }
-  out.sessions_joined = joiner.sessions_joined();
-  out.dropped_as_proxy = joiner.dropped_as_proxy();
-  out.dropped_incomplete = joiner.dropped_incomplete();
-  out.qoe = std::move(qoe).finalize();
-  out.prefixes = std::move(prefixes).finalize();
-  out.perf = std::move(perf).finalize();
-  out.recovery = std::move(recovery).finalize();
+  Fold fold(chunk_duration_s);
+  fold.join_stream(*open(), out.proxies,
+                   [](std::uint64_t) { return false; });
+  std::move(fold).finish(out);
   return out;
 }
 
@@ -163,77 +202,31 @@ StreamingAnalysis analyze_spill_parallel(
     }
   }
 
-  // Pass 2, per file: join + accumulate into per-file accumulators.
-  struct FileFold {
-    std::size_t joined = 0;
-    std::size_t as_proxy = 0;
-    std::size_t incomplete = 0;
-    analysis::QoeAccumulator qoe;
-    analysis::PrefixRollupAccumulator prefixes;
-    std::optional<analysis::PerfScoreAccumulator> perf;
-    analysis::RecoveryImpactAccumulator recovery;
-  };
-  std::vector<FileFold> folds(files.size());
+  // Pass 2, per file: join + accumulate into per-file folds.
+  std::vector<Fold> folds(files.size(), Fold(chunk_duration_s));
   executor.parallel_for(files.size(), [&](std::size_t f) {
-    FileFold& fold = folds[f];
-    fold.perf.emplace(chunk_duration_s);
-    telemetry::StreamingJoiner joiner(&out.proxies);
     telemetry::SpillSet one;
     one.add_file(files[f]);
-    auto stream = one.open();  // salvage was accounted in pass 1
-    while (auto group = stream->next()) {
-      if (cross_file.count(group->session_id) != 0) continue;
-      const auto joined = joiner.join(*group);
-      if (!joined) continue;
-      fold.qoe.add(*joined);
-      fold.prefixes.add(*joined);
-      fold.perf->add(*joined);
-      fold.recovery.add(*joined);
-    }
-    fold.joined = joiner.sessions_joined();
-    fold.as_proxy = joiner.dropped_as_proxy();
-    fold.incomplete = joiner.dropped_incomplete();
+    // Salvage was accounted in pass 1.
+    folds[f].join_stream(*one.open(), out.proxies, [&](std::uint64_t id) {
+      return cross_file.count(id) != 0;
+    });
   });
 
   // Merge in file order; finalize() sorts by session id, so the merge
   // grouping is invisible in the result.
-  analysis::QoeAccumulator qoe;
-  analysis::PrefixRollupAccumulator prefixes;
-  analysis::PerfScoreAccumulator perf(chunk_duration_s);
-  analysis::RecoveryImpactAccumulator recovery;
-  for (FileFold& fold : folds) {
-    out.sessions_joined += fold.joined;
-    out.dropped_as_proxy += fold.as_proxy;
-    out.dropped_incomplete += fold.incomplete;
-    qoe.merge(std::move(fold.qoe));
-    prefixes.merge(std::move(fold.prefixes));
-    perf.merge(std::move(*fold.perf));
-    recovery.merge(std::move(fold.recovery));
-  }
+  Fold fold(chunk_duration_s);
+  for (Fold& file_fold : folds) fold.merge(std::move(file_fold));
 
   if (!cross_file.empty()) {
     // Final serial pass: the merged stream concatenates a cross-file
     // session's blocks in file order before the join sees them.
-    telemetry::StreamingJoiner joiner(&out.proxies);
-    auto stream = spill.open();
-    while (auto group = stream->next()) {
-      if (cross_file.count(group->session_id) == 0) continue;
-      const auto joined = joiner.join(*group);
-      if (!joined) continue;
-      qoe.add(*joined);
-      prefixes.add(*joined);
-      perf.add(*joined);
-      recovery.add(*joined);
-    }
-    out.sessions_joined += joiner.sessions_joined();
-    out.dropped_as_proxy += joiner.dropped_as_proxy();
-    out.dropped_incomplete += joiner.dropped_incomplete();
+    fold.join_stream(*spill.open(), out.proxies, [&](std::uint64_t id) {
+      return cross_file.count(id) == 0;
+    });
   }
 
-  out.qoe = std::move(qoe).finalize();
-  out.prefixes = std::move(prefixes).finalize();
-  out.perf = std::move(perf).finalize();
-  out.recovery = std::move(recovery).finalize();
+  std::move(fold).finish(out);
   return out;
 }
 

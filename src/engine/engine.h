@@ -63,9 +63,10 @@ struct RunOptions {
   /// (a non-empty directory path; set-but-empty throws) decides, else
   /// classic in-memory telemetry.
   std::string telemetry_spill_dir;
-  /// Spill file format version (2 or 3); 0 resolves via
-  /// telemetry::resolve_spill_format (VSTREAM_SPILL_FORMAT, else v3).
-  /// Never changes results — only the bytes in the spill files.
+  /// Spill file format version: 0 or telemetry::kSpillVersionDefault, the
+  /// only format there is; any other value makes run_sharded throw
+  /// std::invalid_argument.  Kept only because the benchmark harness
+  /// (perfbench/) still sets it; a change to the benchmark deletes it.
   std::uint32_t spill_format = 0;
   /// Non-empty: crash-safe execution — run in checkpointed batches and
   /// write per-shard shard-<i>.vckpt sidecars to this directory (created

@@ -1,9 +1,9 @@
-// Binary on-disk spill format for session record groups (versions 2 and
-// 3: CRC32C-framed, crash- and corruption-tolerant).
+// Binary on-disk spill format for session record groups (version 3:
+// CRC32C-framed, crash- and corruption-tolerant, columnar payloads).
 //
 // Layout (all integers little-endian, fixed width):
 //
-//   file   := magic:u32 ("VSPL", 0x4C505356) version:u32 (2|3) frame*
+//   file   := magic:u32 ("VSPL", 0x4C505356) version:u32 (3) frame*
 //   frame  := block | commit
 //   block  := bmark:u32 ("VBLK") session_id:u64 payload_size:u64
 //             header_crc:u32 payload payload_crc:u32
@@ -13,29 +13,19 @@
 // over the payload, commit_crc over cmark+blocks_committed.  A commit
 // frame is written only after its record group's block is fully written,
 // so the last commit frame bounds the file's consistent prefix: anything
-// after it is at best unflushed work from a crashed writer.  Framing is
-// identical in both versions — only the payload encoding differs, so the
-// recovery scan, indexing and salvage accounting are version-blind.
+// after it is at best unflushed work from a crashed writer.
 //
-// v2 payload: count:u32 x5 (player_sessions, cdn_sessions, player_chunks,
-// cdn_chunks, tcp_snapshots) then the five record groups row by row,
-// field-by-field in the declared struct order.  Doubles are raw IEEE-754
-// bits (u64) so the round trip is bit-exact; bools and enums are one
-// byte; strings are u32 length + bytes.
+// Payload: count:varint x5 (player_sessions, cdn_sessions, player_chunks,
+// cdn_chunks, tcp_snapshots), then the five record groups *columnar* —
+// for each stream, each struct field in declaration order becomes one
+// column encoded by spill_codec.h (const/zigzag-delta varints for
+// integers, const/xor-prev/exponent-split for doubles, const/bit-packed
+// for bools, varint-length strings).  Doubles round-trip bit-exact.
+// There is one payload encoding: files with any other version in the
+// header (the retired row-encoded version 2 among them) are rejected as
+// unsupported.
 //
-// v3 payload (the default): count:varint x5, then the same five groups
-// *columnar* — for each stream, each struct field in declaration order
-// becomes one column encoded by spill_codec.h (const/zigzag-delta
-// varints for integers, const/xor-prev/exponent-split for doubles,
-// const/bit-packed for bools, varint-length strings).  Same counts, same
-// field order, same bit-exact doubles — just fewer bytes.  The format is
-// selected by SpillWriter's `format` argument with 0 deferring to
-// VSTREAM_SPILL_FORMAT (strict {2,3}; default 3); readers dispatch on
-// the file header, so mixed-version spill sets work and resumed writers
-// adopt the existing file's version regardless of the environment.
-//
-// The per-record session_id is NOT stored in either version — it is
-// block-level and re-applied on read.  `payload_size` makes blocks
+// The per-record session_id is NOT stored — it is block-level and re-applied on read.  `payload_size` makes blocks
 // skippable without decoding, which is how SpillSet builds its per-file
 // index: one header scan, then random-access reads in ascending
 // session-id order regardless of write order.
@@ -69,16 +59,10 @@
 namespace vstream::telemetry {
 
 inline constexpr std::uint32_t kSpillMagic = 0x4C505356;    // "VSPL"
-inline constexpr std::uint32_t kSpillVersionV2 = 2;
-inline constexpr std::uint32_t kSpillVersionV3 = 3;
-inline constexpr std::uint32_t kSpillVersionDefault = kSpillVersionV3;
+/// The only spill format version this code reads or writes.
+inline constexpr std::uint32_t kSpillVersionDefault = 3;
 inline constexpr std::uint32_t kSpillBlockMarker = 0x4B4C4256;   // "VBLK"
 inline constexpr std::uint32_t kSpillCommitMarker = 0x544D4356;  // "VCMT"
-
-/// Resolve a spill format request: 2 and 3 pass through, 0 defers to
-/// VSTREAM_SPILL_FORMAT (strict: unset means kSpillVersionDefault, any
-/// value other than "2"/"3" throws std::runtime_error naming the knob).
-std::uint32_t resolve_spill_format(std::uint32_t requested = 0);
 
 /// Salvage accounting for one reader (or an aggregate over a SpillSet).
 /// All-zero except blocks_ok/bytes_salvaged/commit_frames/logical_bytes
@@ -90,9 +74,11 @@ struct SpillReadStats {
   std::uint64_t bytes_skipped = 0;   ///< corrupt bytes scanned past (resync)
   std::uint64_t torn_tail_bytes = 0; ///< incomplete trailing frame dropped
   std::uint64_t commit_frames = 0;   ///< commit records seen
-  /// v2-equivalent payload bytes of the decoded blocks: what the same
-  /// records would occupy row-encoded.  logical_bytes / bytes_salvaged is
-  /// the realized compression ratio (1.0 for v2 files by construction).
+  /// Row-encoded size of the decoded blocks: what the same records would
+  /// occupy as fixed-width rows (u32 counts and ints, u64 doubles, one
+  /// byte per bool/enum, u32-length strings).  logical_bytes /
+  /// bytes_salvaged is the realized compression ratio of the columnar
+  /// payload.
   std::uint64_t logical_bytes = 0;
 
   /// True when any damage was encountered (skips, resyncs, torn tail).
@@ -119,20 +105,16 @@ struct SpillReadStats {
 /// and poison the writer for good.
 class SpillWriter {
  public:
-  /// Creates/truncates `path` and writes the file header.  `format` is
-  /// resolved via resolve_spill_format (0 = environment/default).
-  /// Throws std::runtime_error when the file cannot be opened or the
-  /// format request is invalid.
-  explicit SpillWriter(const std::filesystem::path& path,
-                       std::uint32_t format = 0);
+  /// Creates/truncates `path` and writes the file header.  Throws
+  /// std::runtime_error when the file cannot be opened.
+  explicit SpillWriter(const std::filesystem::path& path);
 
   /// Resume an existing spill file at a previously committed offset (see
   /// committed_bytes()): validates the header, truncates everything past
   /// `committed_bytes` (uncommitted work from a crashed run), and appends
-  /// from there — in the *file's* header version, so a resume is format-
-  /// stable even when the environment changed.  `blocks_already_written`
-  /// restores the commit counter.  Throws std::runtime_error on a
-  /// missing/short/incompatible file.
+  /// from there.  `blocks_already_written` restores the commit counter.
+  /// Throws std::runtime_error on a short or incompatible file (bad
+  /// magic, unsupported version) and sim::HostIoError on a missing one.
   SpillWriter(const std::filesystem::path& path,
               std::uint64_t committed_bytes,
               std::uint64_t blocks_already_written);
@@ -158,18 +140,16 @@ class SpillWriter {
   std::uint64_t blocks_written() const { return blocks_written_; }
   /// File offset after the last fully written frame.
   std::uint64_t committed_bytes() const { return offset_; }
-  std::uint32_t format_version() const { return version_; }
 
  private:
   void write_file_header();
 
   std::filesystem::path path_;
-  std::uint32_t version_ = kSpillVersionDefault;
   std::unique_ptr<SpillFileBackend> io_;
   std::string scratch_;  ///< reused payload buffer
   std::string frame_;    ///< reused frame-header/commit buffer
-  std::vector<std::uint64_t> col_;   ///< reused v3 column scratch
-  std::vector<std::uint8_t> bcol_;   ///< reused v3 bool column scratch
+  std::vector<std::uint64_t> col_;   ///< reused column scratch
+  std::vector<std::uint8_t> bcol_;   ///< reused bool column scratch
   std::uint64_t blocks_written_ = 0;
   std::uint64_t offset_ = 0;  ///< bytes written so far (header + frames)
   bool poisoned_ = false;     ///< sticky failpoint-injected failure
@@ -208,8 +188,6 @@ class SpillReader {
   std::optional<SessionRecordGroup> read_at(const SpillBlockRef& ref);
 
   const SpillReadStats& stats() const { return stats_; }
-  /// The file header's format version (2 or 3).
-  std::uint32_t format_version() const { return version_; }
   /// Total file size in bytes.
   std::uint64_t file_bytes() const { return file_size_; }
 
@@ -222,13 +200,11 @@ class SpillReader {
   void bump(std::uint64_t SpillReadStats::* counter, std::uint64_t n);
 
   std::unique_ptr<SpillByteSource> src_;
-  std::filesystem::path path_;
   std::string scratch_;              ///< payload copy (pread fallback only)
-  std::vector<std::uint64_t> col_;   ///< reused v3 column scratch
-  std::vector<std::uint8_t> bcol_;   ///< reused v3 bool column scratch
+  std::vector<std::uint64_t> col_;   ///< reused column scratch
+  std::vector<std::uint8_t> bcol_;   ///< reused bool column scratch
   std::uint64_t pos_ = 0;
   std::uint64_t file_size_ = 0;
-  std::uint32_t version_ = kSpillVersionV2;
   SpillReadStats stats_;
   SpillReadStats* external_stats_ = nullptr;
 };

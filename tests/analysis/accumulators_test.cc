@@ -252,8 +252,13 @@ TEST(RecoveryImpactAccumulatorTest, CountsExactMeansToRounding) {
   const telemetry::JoinedDataset joined = telemetry::JoinedDataset::build(d);
   const RecoveryImpact batch = recovery_impact(joined);
 
+  // Fed in reverse: finalize() restores ascending-id order, so the result
+  // still matches the batch fold to the bit.
   RecoveryImpactAccumulator acc;
-  for (const telemetry::JoinedSession& s : joined.sessions()) acc.add(s);
+  for (auto it = joined.sessions().rbegin(); it != joined.sessions().rend();
+       ++it) {
+    acc.add(*it);
+  }
   const RecoveryImpact streamed = std::move(acc).finalize();
 
   // Integer tallies are exact.
@@ -274,14 +279,12 @@ TEST(RecoveryImpactAccumulatorTest, CountsExactMeansToRounding) {
   EXPECT_GT(streamed.affected_sessions, 0u);
   EXPECT_GT(streamed.stale_chunks, 0u);
 
-  // The accumulator regroups the batch fold's sums per session, so the FP
-  // means agree to rounding, not necessarily to the bit (header contract).
-  EXPECT_NEAR(streamed.mean_recovery_ms, batch.mean_recovery_ms, 1e-9);
-  EXPECT_NEAR(streamed.mean_dfb_failover_ms, batch.mean_dfb_failover_ms,
-              1e-9);
-  EXPECT_NEAR(streamed.mean_dfb_clean_ms, batch.mean_dfb_clean_ms, 1e-9);
-  EXPECT_NEAR(streamed.rebuffer_rate_percent, batch.rebuffer_rate_percent,
-              1e-9);
+  // The batch analysis is a fold of the same accumulator, so the FP means
+  // agree to the bit, not just to rounding.
+  EXPECT_EQ(streamed.mean_recovery_ms, batch.mean_recovery_ms);
+  EXPECT_EQ(streamed.mean_dfb_failover_ms, batch.mean_dfb_failover_ms);
+  EXPECT_EQ(streamed.mean_dfb_clean_ms, batch.mean_dfb_clean_ms);
+  EXPECT_EQ(streamed.rebuffer_rate_percent, batch.rebuffer_rate_percent);
 }
 
 TEST(RecoveryImpactAccumulatorTest, MergeMatchesSingleAccumulator) {

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "analysis/detectors.h"
 #include "core/streaming.h"
 #include "engine/engine.h"
 #include "engine/replay.h"
@@ -246,39 +247,21 @@ TEST(EngineDeterminismTest, SpillRunMatchesInMemoryForEveryShardCount) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(EngineDeterminismTest, SpillFormatNeverChangesTheDataset) {
-  // v2 (row) and v3 (columnar) files must materialize byte-identical
-  // datasets — the on-disk encoding is invisible to every consumer.
-  const workload::Scenario scenario = small_scenario();
-  const std::filesystem::path dir = spill_scratch("format");
-  std::string v2_csv;
-  std::uint64_t v2_bytes = 0;
-  std::uint64_t v3_bytes = 0;
-  for (const std::uint32_t format : {2u, 3u}) {
+TEST(EngineDeterminismTest, RetiredSpillFormatIsRejected) {
+  // One on-disk format exists; asking for the retired row format (or any
+  // other version) is a configuration error, not a silent fallback.
+  workload::Scenario scenario = small_scenario();
+  scenario.session_count = 5;
+  for (const std::uint32_t format : {2u, 4u}) {
     engine::RunOptions options;
-    options.shards = 4;
     options.spill_format = format;
-    options.telemetry_spill_dir =
-        (dir / ("v" + std::to_string(format))).string();
-    const engine::RunResult run = engine::run_simulation(scenario, options);
-    ASSERT_TRUE(run.spilled());
-    std::uint64_t bytes = 0;
-    for (const std::filesystem::path& file : run.spill.files()) {
-      bytes += std::filesystem::file_size(file);
-    }
-    const std::string csv = export_string(run.spill.load());
-    if (format == 2) {
-      v2_csv = csv;
-      v2_bytes = bytes;
-    } else {
-      EXPECT_EQ(csv, v2_csv);
-      v3_bytes = bytes;
-    }
+    EXPECT_THROW(engine::run_simulation(scenario, options),
+                 std::invalid_argument)
+        << "format " << format;
   }
-  // The columnar format must actually pay for itself on real telemetry.
-  EXPECT_LT(v3_bytes, v2_bytes * 3 / 4)
-      << "v3 " << v3_bytes << " vs v2 " << v2_bytes;
-  std::filesystem::remove_all(dir);
+  engine::RunOptions current;
+  current.spill_format = telemetry::kSpillVersionDefault;
+  EXPECT_NO_THROW(engine::run_simulation(scenario, current));
 }
 
 TEST(EngineDeterminismTest, SpillAnalysisMatchesBatchAnalysis) {
@@ -331,6 +314,25 @@ TEST(EngineDeterminismTest, SpillAnalysisMatchesBatchAnalysis) {
     EXPECT_EQ(streamed.prefixes[i].mean_srtt_ms,
               batch_prefixes[i].mean_srtt_ms);
   }
+
+  // The batch recovery impact is a fold of the same accumulator: every
+  // field agrees to the bit, the FP means included.
+  const analysis::RecoveryImpact batch_recovery =
+      analysis::recovery_impact(batch.joined);
+  EXPECT_EQ(streamed.recovery.sessions, batch_recovery.sessions);
+  EXPECT_EQ(streamed.recovery.completed_sessions,
+            batch_recovery.completed_sessions);
+  EXPECT_EQ(streamed.recovery.affected_sessions,
+            batch_recovery.affected_sessions);
+  EXPECT_EQ(streamed.recovery.retries, batch_recovery.retries);
+  EXPECT_EQ(streamed.recovery.mean_recovery_ms,
+            batch_recovery.mean_recovery_ms);
+  EXPECT_EQ(streamed.recovery.mean_dfb_failover_ms,
+            batch_recovery.mean_dfb_failover_ms);
+  EXPECT_EQ(streamed.recovery.mean_dfb_clean_ms,
+            batch_recovery.mean_dfb_clean_ms);
+  EXPECT_EQ(streamed.recovery.rebuffer_rate_percent,
+            batch_recovery.rebuffer_rate_percent);
 
   // analyze_dataset over the in-memory run agrees with analyze_spill over
   // the spilled run on everything, including the recovery counts.
@@ -670,9 +672,12 @@ TEST(ThreadDeterminismTest, ParallelSpillAnalysisMatchesSerial) {
     EXPECT_EQ(parallel.perf.chunks, serial.perf.chunks);
     EXPECT_EQ(parallel.perf.scored_chunks, serial.perf.scored_chunks);
     EXPECT_EQ(parallel.perf.mean_score, serial.perf.mean_score);
+    EXPECT_EQ(parallel.recovery.sessions, serial.recovery.sessions);
     EXPECT_EQ(parallel.recovery.retries, serial.recovery.retries);
     EXPECT_EQ(parallel.recovery.mean_recovery_ms,
               serial.recovery.mean_recovery_ms);
+    EXPECT_EQ(parallel.recovery.mean_dfb_clean_ms,
+              serial.recovery.mean_dfb_clean_ms);
     ASSERT_EQ(parallel.prefixes.size(), serial.prefixes.size());
     for (std::size_t i = 0; i < serial.prefixes.size(); ++i) {
       EXPECT_EQ(parallel.prefixes[i].prefix, serial.prefixes[i].prefix);

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
+
 namespace vstream::telemetry {
 namespace {
 
@@ -41,13 +43,11 @@ class SpillDirTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-/// Every structural/recovery test runs against both on-disk formats: the
-/// framing, salvage and merge logic are version-blind and must stay so.
+/// The structural/recovery tests, parameterized by the on-disk version
+/// they pin (3, the only one), so a test name records the format it
+/// covers.
 class SpillFormatTest : public SpillDirTest,
-                        public ::testing::WithParamInterface<std::uint32_t> {
- protected:
-  std::uint32_t format() const { return GetParam(); }
-};
+                        public ::testing::WithParamInterface<std::uint32_t> {};
 
 /// One session with every field of every record type set to a distinctive
 /// value, so a lossy or reordered encoding shows up as a mismatch.
@@ -229,14 +229,26 @@ void expect_groups_equal(const SessionRecordGroup& a,
   }
 }
 
+std::string read_all(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST_P(SpillFormatTest, RoundTripsEveryFieldBitExact) {
   const auto path = file("roundtrip.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(11));
     writer.close();
     EXPECT_EQ(writer.blocks_written(), 1u);
   }
+  // The header carries the pinned version right after the magic.
+  const std::string bytes = read_all(path);
+  ASSERT_GE(bytes.size(), 8u);
+  EXPECT_EQ(static_cast<std::uint8_t>(bytes[4]), GetParam());
+  EXPECT_EQ(bytes.substr(5, 3), std::string(3, '\0'));
+
   SpillReader reader(path);
   auto read = reader.next();
   ASSERT_TRUE(read.has_value());
@@ -247,7 +259,7 @@ TEST_P(SpillFormatTest, RoundTripsEveryFieldBitExact) {
 TEST_P(SpillFormatTest, IndexAndRandomAccessRead) {
   const auto path = file("index.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     // Completion order is not id order — the index must not care.
     writer.write(full_group(30));
     writer.write(full_group(10));
@@ -271,11 +283,11 @@ TEST_P(SpillFormatTest, IndexAndRandomAccessRead) {
 TEST_P(SpillFormatTest, SpillSetStreamsAscendingAcrossFiles) {
   SpillSet set;
   {
-    SpillWriter a(file("shard-0.vspill"), format());
+    SpillWriter a(file("shard-0.vspill"));
     a.write(full_group(5));
     a.write(full_group(1));
     a.close();
-    SpillWriter b(file("shard-1.vspill"), format());
+    SpillWriter b(file("shard-1.vspill"));
     b.write(full_group(4));
     b.write(full_group(2));
     b.close();
@@ -308,10 +320,10 @@ TEST_P(SpillFormatTest, SessionSplitAcrossFilesConcatenatesInFileOrder) {
   second.player_chunks.push_back(pc1);
 
   {
-    SpillWriter a(file("shard-0.vspill"), format());
+    SpillWriter a(file("shard-0.vspill"));
     a.write(first);
     a.close();
-    SpillWriter b(file("shard-1.vspill"), format());
+    SpillWriter b(file("shard-1.vspill"));
     b.write(second);
     b.close();
   }
@@ -350,7 +362,7 @@ TEST_P(SpillFormatTest, DuplicateIdsWithinOneFileMergeInFileOrder) {
   second.player_chunks.push_back(pc1);
 
   {
-    SpillWriter w(file("dup.vspill"), format());
+    SpillWriter w(file("dup.vspill"));
     w.write(first);
     w.write(second);
     w.close();
@@ -383,7 +395,7 @@ TEST_P(SpillFormatTest, TruncatedTailIsDroppedNotFatal) {
   // fully committed block and accounts the dropped bytes.
   const auto path = file("trunc.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.write(full_group(2));
     writer.close();
@@ -403,7 +415,7 @@ TEST_P(SpillFormatTest, TruncatedTailIsDroppedNotFatal) {
 TEST_P(SpillFormatTest, CorruptPayloadByteSkipsOnlyThatBlock) {
   const auto path = file("flip.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.write(full_group(2));
     writer.write(full_group(3));
@@ -437,7 +449,7 @@ TEST_P(SpillFormatTest, ResumedWriterTruncatesUncommittedTail) {
   std::uint64_t committed = 0;
   std::uint64_t blocks = 0;
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     committed = writer.flush_committed();
     blocks = writer.blocks_written();
@@ -465,7 +477,7 @@ TEST_P(SpillFormatTest, ResumedWriterTruncatesUncommittedTail) {
 TEST_P(SpillFormatTest, ResumeRejectsOffsetBeyondFile) {
   const auto path = file("resume_bad.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.close();
   }
@@ -473,12 +485,6 @@ TEST_P(SpillFormatTest, ResumeRejectsOffsetBeyondFile) {
   EXPECT_THROW(SpillWriter(path, size + 100, 1), std::runtime_error);
   EXPECT_THROW(SpillWriter(path, 3, 0), std::runtime_error);
   EXPECT_THROW(SpillWriter(file("gone.vspill"), 8, 0), std::runtime_error);
-}
-
-std::string read_all(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 void write_all(const std::filesystem::path& path, const std::string& bytes) {
@@ -498,7 +504,7 @@ std::vector<std::uint64_t> drain_ids(const std::filesystem::path& path) {
 TEST_P(SpillFormatTest, FuzzFlipEveryByteNeverCrashes) {
   const auto path = file("fuzz_flip.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.write(full_group(2));
     writer.close();
@@ -525,7 +531,7 @@ TEST_P(SpillFormatTest, FuzzFlipEveryByteNeverCrashes) {
 TEST_P(SpillFormatTest, FuzzTruncateEveryOffsetNeverCrashes) {
   const auto path = file("fuzz_trunc.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.write(full_group(2));
     writer.close();
@@ -551,11 +557,11 @@ TEST_P(SpillFormatTest, FuzzTruncateEveryOffsetNeverCrashes) {
 TEST_P(SpillFormatTest, SpillSetAggregatesSalvageStats) {
   SpillSet set;
   {
-    SpillWriter a(file("shard-0.vspill"), format());
+    SpillWriter a(file("shard-0.vspill"));
     a.write(full_group(1));
     a.write(full_group(3));
     a.close();
-    SpillWriter b(file("shard-1.vspill"), format());
+    SpillWriter b(file("shard-1.vspill"));
     b.write(full_group(2));
     b.close();
   }
@@ -612,7 +618,7 @@ TEST_P(SpillFormatTest, ExtremeDoublesRoundTripBitExact) {
     g.player_chunks.push_back(pc);
   }
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(g);
     writer.close();
   }
@@ -632,7 +638,7 @@ TEST_P(SpillFormatTest, ExtremeDoublesRoundTripBitExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, SpillFormatTest,
-                         ::testing::Values(kSpillVersionV2, kSpillVersionV3),
+                         ::testing::Values(kSpillVersionDefault),
                          [](const auto& info) {
                            return "v" + std::to_string(info.param);
                          });
@@ -656,93 +662,12 @@ class EnvGuard {
   std::optional<std::string> saved_;
 };
 
-TEST_F(SpillDirTest, V3FilesAreSubstantiallySmallerThanV2) {
-  const auto v2 = file("v2.vspill");
-  const auto v3 = file("v3.vspill");
-  {
-    SpillWriter w2(v2, kSpillVersionV2);
-    SpillWriter w3(v3, kSpillVersionV3);
-    for (std::uint64_t id = 1; id <= 64; ++id) {
-      SessionRecordGroup g = full_group(id);
-      // Pad to a realistic chunk count so columns dominate the framing.
-      for (int i = 1; i < 20; ++i) {
-        g.player_chunks.push_back(g.player_chunks.front());
-        g.player_chunks.back().chunk_id = static_cast<std::uint32_t>(i + 7);
-        g.cdn_chunks.push_back(g.cdn_chunks.front());
-        g.tcp_snapshots.push_back(g.tcp_snapshots.front());
-      }
-      w2.write(g);
-      w3.write(g);
-    }
-    w2.close();
-    w3.close();
-  }
-  const auto size2 = std::filesystem::file_size(v2);
-  const auto size3 = std::filesystem::file_size(v3);
-  // Repetitive test data compresses far better than real telemetry (the
-  // realistic ratio is ~2x, see EXPERIMENTS.md); 2x is a safe floor here.
-  EXPECT_LT(size3 * 2, size2) << "v3 " << size3 << " vs v2 " << size2;
-
-  // Same records come back from both files.
-  SpillReader r2(v2);
-  SpillReader r3(v3);
-  EXPECT_EQ(r2.format_version(), kSpillVersionV2);
-  EXPECT_EQ(r3.format_version(), kSpillVersionV3);
-  for (;;) {
-    auto a = r2.next();
-    auto b = r3.next();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    expect_groups_equal(*a, *b);
-  }
-}
-
-TEST_F(SpillDirTest, EnvironmentSelectsFormatStrictly) {
-  EnvGuard guard("VSTREAM_SPILL_FORMAT");
-  ::setenv("VSTREAM_SPILL_FORMAT", "2", 1);
-  EXPECT_EQ(resolve_spill_format(0), kSpillVersionV2);
-  ::setenv("VSTREAM_SPILL_FORMAT", "3", 1);
-  EXPECT_EQ(resolve_spill_format(0), kSpillVersionV3);
-  ::unsetenv("VSTREAM_SPILL_FORMAT");
-  EXPECT_EQ(resolve_spill_format(0), kSpillVersionDefault);
-  ::setenv("VSTREAM_SPILL_FORMAT", "1", 1);
-  EXPECT_THROW(resolve_spill_format(0), std::runtime_error);
-  ::setenv("VSTREAM_SPILL_FORMAT", "banana", 1);
-  EXPECT_THROW(resolve_spill_format(0), std::runtime_error);
-  // An explicit request bypasses the environment entirely.
-  EXPECT_EQ(resolve_spill_format(2), kSpillVersionV2);
-  EXPECT_THROW(resolve_spill_format(4), std::runtime_error);
-}
-
-TEST_F(SpillDirTest, ResumedWriterKeepsTheFilesFormat) {
-  // A run that started as v2 must stay v2 across a crash/resume even when
-  // the environment now prefers v3.
-  const auto path = file("resume_v2.vspill");
-  std::uint64_t committed = 0;
-  {
-    SpillWriter writer(path, kSpillVersionV2);
-    writer.write(full_group(1));
-    committed = writer.flush_committed();
-  }
-  {
-    SpillWriter writer(path, committed, 1);
-    EXPECT_EQ(writer.format_version(), kSpillVersionV2);
-    writer.write(full_group(2));
-    writer.close();
-  }
-  SpillReader reader(path);
-  EXPECT_EQ(reader.format_version(), kSpillVersionV2);
-  std::vector<std::uint64_t> ids;
-  while (auto g = reader.next()) ids.push_back(g->session_id);
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2}));
-}
-
 TEST_F(SpillDirTest, AsyncAndSyncWritersProduceIdenticalFiles) {
   EnvGuard guard("VSTREAM_SPILL_ASYNC");
   const auto write_with = [&](const char* mode, const char* name) {
     ::setenv("VSTREAM_SPILL_ASYNC", mode, 1);
     const auto path = file(name);
-    SpillWriter writer(path, kSpillVersionV3);
+    SpillWriter writer(path);
     for (std::uint64_t id = 1; id <= 40; ++id) writer.write(full_group(id));
     writer.flush_committed();
     writer.write(full_group(41));
@@ -758,7 +683,7 @@ TEST_F(SpillDirTest, MmapAndPreadReadersAgree) {
   EnvGuard guard("VSTREAM_SPILL_MMAP");
   const auto path = file("source.vspill");
   {
-    SpillWriter writer(path, kSpillVersionV3);
+    SpillWriter writer(path);
     for (std::uint64_t id = 1; id <= 10; ++id) writer.write(full_group(id));
     writer.close();
   }
@@ -784,19 +709,58 @@ TEST_F(SpillDirTest, MmapAndPreadReadersAgree) {
   EXPECT_EQ(mmap_stats.logical_bytes, pread_stats.logical_bytes);
 }
 
-TEST_F(SpillDirTest, V2LogicalBytesEqualPayloadBytes) {
-  // The logical-size model must match the actual v2 encoder, or the
-  // compression ratio drifts from reality.
+TEST_F(SpillDirTest, LogicalBytesArePinnedForFullGroups) {
+  // logical_bytes is the row-encoded size behind compression_ratio.  Per
+  // full_group: 20 (five u32 counts) + 49 (player session: 37 fixed + a
+  // 12-byte user agent) + 68 (CDN session: 37 fixed + 31 bytes of
+  // strings) + 78 (player chunk) + 60 (CDN chunk) + 65 (TCP snapshot) =
+  // 340 bytes, so 2720 for ids 1..8 — the exact size the retired row
+  // encoder wrote for the same groups.
   const auto path = file("logical.vspill");
   {
-    SpillWriter writer(path, kSpillVersionV2);
+    SpillWriter writer(path);
     for (std::uint64_t id = 1; id <= 8; ++id) writer.write(full_group(id));
     writer.close();
   }
   SpillReader reader(path);
   while (reader.next().has_value()) {
   }
-  EXPECT_EQ(reader.stats().logical_bytes, reader.stats().bytes_salvaged);
+  EXPECT_EQ(reader.stats().blocks_ok, 8u);
+  EXPECT_EQ(reader.stats().logical_bytes, 2720u);
+  EXPECT_LT(reader.stats().bytes_salvaged, reader.stats().logical_bytes);
+}
+
+TEST_F(SpillDirTest, RetiredVersion2FilesAreRejected) {
+  // A file from the retired row-encoded format: valid magic, version 2.
+  const auto path = file("old.vspill");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("VSPL\x02\0\0\0", 8);
+  }
+  const auto expect_unsupported = [](const auto& construct) {
+    try {
+      construct();
+      ADD_FAILURE() << "version-2 spill file accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("unsupported version 2"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  expect_unsupported([&] { SpillReader reader(path); });
+  expect_unsupported([&] { SpillWriter writer(path, 8, 0); });
+
+  // vstream-analyze --spill-stats reports it as a usage error (exit 2)
+  // with the same diagnostic.
+  const auto err = file("analyze.err");
+  const std::string command = std::string(VSTREAM_ANALYZE_BIN) + " " +
+                              dir_.string() + " --spill-stats >/dev/null 2>" +
+                              err.string();
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+  EXPECT_NE(read_all(err).find("unsupported version 2"), std::string::npos)
+      << read_all(err);
 }
 
 }  // namespace

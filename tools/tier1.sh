@@ -21,14 +21,14 @@ tsan_dir="${4:-$repo_root/build-tsan}"
 
 echo "==> tier-1: configure + build ($build_dir)"
 cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j "$(nproc)"
 
 echo "==> tier-1: ctest"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
 echo "==> tier-1: ASan build ($asan_dir)"
 cmake -B "$asan_dir" -S "$repo_root" -DVSTREAM_SANITIZE=address
-cmake --build "$asan_dir" -j --target test_runtime test_sim test_cdn test_core test_faults test_engine test_telemetry test_failpoints
+cmake --build "$asan_dir" -j "$(nproc)" --target test_runtime test_sim test_cdn test_core test_faults test_engine test_telemetry test_failpoints
 
 echo "==> tier-1: ASan suites (runtime, sim, cdn, core, faults, engine, telemetry, failpoints)"
 # test_telemetry includes the spill corruption fuzz (flip every byte,
@@ -48,7 +48,7 @@ echo "==> tier-1: ASan serve-unification equivalence (explicit)"
 
 echo "==> tier-1: UBSan build ($ubsan_dir)"
 cmake -B "$ubsan_dir" -S "$repo_root" -DVSTREAM_SANITIZE=undefined
-cmake --build "$ubsan_dir" -j --target test_sim test_net test_cdn test_engine test_core test_telemetry test_failpoints
+cmake --build "$ubsan_dir" -j "$(nproc)" --target test_sim test_net test_cdn test_engine test_core test_telemetry test_failpoints
 
 echo "==> tier-1: UBSan suites (sim, net, cdn, engine, core, telemetry, failpoints)"
 # sim and net hold the shift/compare-heavy RNG code: the Mt64 twist and
@@ -62,7 +62,7 @@ done
 
 echo "==> tier-1: TSan build ($tsan_dir)"
 cmake -B "$tsan_dir" -S "$repo_root" -DVSTREAM_SANITIZE=thread
-cmake --build "$tsan_dir" -j --target test_runtime test_engine
+cmake --build "$tsan_dir" -j "$(nproc)" --target test_runtime test_engine
 
 echo "==> tier-1: TSan executor suite (steal-heavy stress included)"
 TSAN_OPTIONS=halt_on_error=1 "$tsan_dir/tests/test_runtime"
@@ -84,7 +84,7 @@ VSTREAM_THREADS=$oversub "$build_dir/tests/test_engine" \
 echo "    determinism holds at $oversub workers on $(nproc) cores"
 
 echo "==> tier-1: perf smoke (hotpath suite -> BENCH_hotpaths.json)"
-cmake --build "$build_dir" -j --target bench_micro_hotpaths
+cmake --build "$build_dir" -j "$(nproc)" --target bench_micro_hotpaths
 # Small workload: this checks the harness end to end (benchmarks run, the
 # JSON is written and well-formed), not absolute performance.
 (cd "$build_dir" && VSTREAM_BENCH_SESSIONS=50 \
@@ -108,32 +108,29 @@ rm -rf "$spill_work"
 mkdir -p "$spill_work"
 "$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --shards 4 \
   --out "$spill_work/mem" >/dev/null
-# Both on-disk formats (v2 row, v3 columnar) must reproduce the in-memory
-# CSVs byte for byte; v3 must be the smaller encoding of the same run.
-for fmt in 2 3; do
-  "$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --shards 4 \
-    --spill-format "$fmt" \
-    --telemetry-spill "$spill_work/spill-dir-v$fmt" \
-    --out "$spill_work/spill-v$fmt" >/dev/null
-  spill_files=$(ls "$spill_work/spill-dir-v$fmt"/*.vspill 2>/dev/null | wc -l)
-  if [ "$spill_files" -lt 1 ]; then
-    echo "tier-1: spill run left no .vspill files (format $fmt)" >&2
-    exit 1
-  fi
-  for f in player_sessions cdn_sessions player_chunks cdn_chunks tcp_snapshots; do
-    cmp "$spill_work/mem/$f.csv" "$spill_work/spill-v$fmt/$f.csv"
-  done
-done
-v2_bytes=$(du -sb "$spill_work/spill-dir-v2" | cut -f1)
-v3_bytes=$(du -sb "$spill_work/spill-dir-v3" | cut -f1)
-if [ "$v3_bytes" -ge "$v2_bytes" ]; then
-  echo "tier-1: v3 spill ($v3_bytes B) not smaller than v2 ($v2_bytes B)" >&2
+# The spilled run must reproduce the in-memory CSVs byte for byte, and
+# its columnar files must be smaller than the same records row-encoded
+# (total compression_ratio from --spill-stats, measured from the files).
+"$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --shards 4 \
+  --telemetry-spill "$spill_work/spill-dir" \
+  --out "$spill_work/spill" >/dev/null
+spill_files=$(ls "$spill_work/spill-dir"/*.vspill 2>/dev/null | wc -l)
+if [ "$spill_files" -lt 1 ]; then
+  echo "tier-1: spill run left no .vspill files" >&2
   exit 1
 fi
-"$build_dir/tools/vstream-analyze" "$spill_work/spill-dir-v3" --spill-stats \
-  >/dev/null
-echo "    spill CSVs byte-identical to in-memory for v2 and v3" \
-  "(v2 $v2_bytes B, v3 $v3_bytes B)"
+for f in player_sessions cdn_sessions player_chunks cdn_chunks tcp_snapshots; do
+  cmp "$spill_work/mem/$f.csv" "$spill_work/spill/$f.csv"
+done
+ratio=$("$build_dir/tools/vstream-analyze" "$spill_work/spill-dir" \
+  --spill-stats | awk '/^== total ==$/ { total = 1 }
+    total && $2 == "compression_ratio" { print $NF }')
+if ! awk -v r="$ratio" 'BEGIN { exit !(r != "" && r + 0 > 1.0) }'; then
+  echo "tier-1: spill compression_ratio '$ratio' not > 1.0" >&2
+  exit 1
+fi
+echo "    spill CSVs byte-identical to in-memory" \
+  "(compression_ratio $ratio over $spill_files files)"
 
 echo "==> tier-1: attribution smoke (counterfactual replay, worst-5 blame)"
 attr_work="$build_dir/tier1-attr-smoke"
@@ -185,7 +182,7 @@ print('    offline --attribution agrees with the in-run pass')
 "
 
 echo "==> tier-1: chaos smoke (kill-and-resume, byte-identical CSVs)"
-cmake --build "$build_dir" -j --target vstream-chaos
+cmake --build "$build_dir" -j "$(nproc)" --target vstream-chaos
 # Small config: one SIGKILL per (shards, threads, profile) cell still
 # walks the whole durability chain — spill CRC framing,
 # flush-before-commit, atomic sidecar replace, truncate-to-committed on
@@ -209,7 +206,7 @@ echo "==> tier-1: chaos failpoint smoke (no silent corruption)"
   --scratch "$build_dir/tier1-chaos-fp"
 
 echo "==> tier-1: telemetry bench smoke (-> BENCH_telemetry.json)"
-cmake --build "$build_dir" -j --target bench_telemetry_pipeline
+cmake --build "$build_dir" -j "$(nproc)" --target bench_telemetry_pipeline
 (cd "$build_dir" && VSTREAM_BENCH_SESSIONS=60 \
   ./bench/bench_telemetry_pipeline >/dev/null)
 python3 -m json.tool "$build_dir/BENCH_telemetry.json" >/dev/null
@@ -226,7 +223,7 @@ fi
 echo "    BENCH_telemetry.json OK ($telemetry_metrics metrics)"
 
 echo "==> tier-1: scaling bench smoke (-> BENCH_scaling.json)"
-cmake --build "$build_dir" -j --target bench_scaling
+cmake --build "$build_dir" -j "$(nproc)" --target bench_scaling
 # Small workload, one rep: validates the harness (sweep runs, outputs
 # stay bit-identical across thread counts, JSON well-formed), not the
 # shape of the curve — that needs a multi-core host and real sessions.

@@ -8,9 +8,11 @@
 //                       [--worst N] [--attribution-out FILE]
 //
 // --spill-stats prints a per-file byte-level report for a spill
-// directory instead of running the analyses: format version, block and
-// salvage counts, file bytes, and the realized compression ratio
-// (v2-equivalent logical bytes over the intact payload bytes on disk).
+// directory instead of running the analyses: block and salvage counts,
+// file bytes, and the realized compression ratio (row-encoded logical
+// bytes over the intact payload bytes on disk).  A file whose header
+// carries any version but the current one (3) — such as a retired
+// version-2 spill — is a usage error (exit 2).
 //
 // --attribution replays the worst `--worst N` (default 20) sessions of
 // the dataset in DIR under each subsystem idealization
@@ -97,8 +99,6 @@ int run_spill_stats(const std::vector<std::filesystem::path>& files) {
     }
     const telemetry::SpillReadStats& s = reader.stats();
     core::print_header(file.filename().string());
-    core::print_metric("format_version",
-                       static_cast<double>(reader.format_version()));
     core::print_metric("file_bytes", static_cast<double>(reader.file_bytes()));
     core::print_metric("blocks_ok", static_cast<double>(s.blocks_ok));
     core::print_metric("blocks_skipped", static_cast<double>(s.blocks_skipped));
